@@ -64,7 +64,8 @@ func canonicalAggReports(t *testing.T, reports []AggregateReport) string {
 
 // runAggOnce builds a dynamic runtime with the standard query set,
 // optionally starts a driver goroutine against the live runtime, runs
-// the source to completion, and snapshots the merged reports.
+// the source to completion, and snapshots the merged reports. A looped
+// source replays losslessly against the runtime's rings.
 func runAggOnce(t *testing.T, cfg Config, src Source, driver func(rt *Runtime, done chan struct{})) ([]AggregateReport, Stats) {
 	t.Helper()
 	rt, err := NewDynamic(cfg)
@@ -73,6 +74,9 @@ func runAggOnce(t *testing.T, cfg Config, src Source, driver func(rt *Runtime, d
 	}
 	if err := rt.AddSubscriptionSpecs(aggQuerySet); err != nil {
 		t.Fatal(err)
+	}
+	if ls, ok := src.(*loopedSource); ok {
+		ls.dev = rt.NIC()
 	}
 	done := make(chan struct{})
 	if driver != nil {

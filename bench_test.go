@@ -258,7 +258,7 @@ func burstSweepWorkload() retina.Source {
 // benchBurstSize measures the full online path (NIC staging → SPSC ring
 // → bulk mbuf alloc → Core.ProcessBurst) at one batch size. The sweep
 // quantifies the per-packet overhead the burst refactor amortizes;
-// burst=1 is the legacy packet-at-a-time datapath.
+// burst=1 runs bursts of one through the same code.
 func benchBurstSize(b *testing.B, burst int) {
 	frames, ticks, bytes := materialize(burstSweepWorkload())
 	b.ReportAllocs()

@@ -33,26 +33,26 @@ func runDifferential(t *testing.T, burst int) retina.Stats {
 }
 
 // TestBurstDifferentialCounts is the end-to-end differential for the
-// burst datapath: the identical seeded workload at burst=1 (legacy
-// packet-at-a-time) and burst=32 must produce identical NIC stats and
-// identical per-core delivery, drop, and expiry accounting.
+// burst datapath: the identical seeded workload at burst=1 (bursts of
+// one through the same code) and burst=32 must produce identical NIC
+// stats and identical per-core delivery, drop, and expiry accounting.
 func TestBurstDifferentialCounts(t *testing.T) {
-	legacy := runDifferential(t, 1)
+	single := runDifferential(t, 1)
 	burst := runDifferential(t, 32)
 
-	if legacy.NIC != burst.NIC {
-		t.Errorf("NIC stats diverge:\nburst=1:  %+v\nburst=32: %+v", legacy.NIC, burst.NIC)
+	if single.NIC != burst.NIC {
+		t.Errorf("NIC stats diverge:\nburst=1:  %+v\nburst=32: %+v", single.NIC, burst.NIC)
 	}
-	if len(legacy.Cores) != len(burst.Cores) {
-		t.Fatalf("core counts differ: %d vs %d", len(legacy.Cores), len(burst.Cores))
+	if len(single.Cores) != len(burst.Cores) {
+		t.Fatalf("core counts differ: %d vs %d", len(single.Cores), len(burst.Cores))
 	}
-	for i := range legacy.Cores {
-		if legacy.Cores[i] != burst.Cores[i] {
-			t.Errorf("core %d stats diverge:\nburst=1:  %+v\nburst=32: %+v", i, legacy.Cores[i], burst.Cores[i])
+	for i := range single.Cores {
+		if single.Cores[i] != burst.Cores[i] {
+			t.Errorf("core %d stats diverge:\nburst=1:  %+v\nburst=32: %+v", i, single.Cores[i], burst.Cores[i])
 		}
 	}
-	if legacy.ConnsLive != burst.ConnsLive {
-		t.Errorf("live connections diverge: burst=1 %d, burst=32 %d", legacy.ConnsLive, burst.ConnsLive)
+	if single.ConnsLive != burst.ConnsLive {
+		t.Errorf("live connections diverge: burst=1 %d, burst=32 %d", single.ConnsLive, burst.ConnsLive)
 	}
 }
 

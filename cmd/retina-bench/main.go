@@ -32,7 +32,7 @@ func main() {
 	exp := flag.String("experiment", "all", "experiment to run: fig5, fig6, fig7, fig8, fig9, fig12, table2, ablations, all")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = full documented configuration)")
 	seed := flag.Int64("seed", 1, "generator seed")
-	burst := flag.Int("burst", 0, "datapath burst size for all experiments (0 = default 32, 1 = legacy packet-at-a-time)")
+	burst := flag.Int("burst", 0, "datapath burst size for all experiments (0 = default 32, 1 = bursts of one through the same code)")
 	subsFile := flag.String("subs", "", "JSON file of {name, filter, callback} subscription specs; benches them as one multi-subscription set instead of -experiment")
 	cores := flag.Int("cores", 4, "cores for the -subs multi-subscription bench")
 	offload := flag.Bool("offload", false, "enable the dynamic flow-offload fastpath for the -subs bench (per-flow drop rules for terminally-decided connections)")

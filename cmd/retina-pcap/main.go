@@ -47,7 +47,7 @@ func main() {
 	reasmBudget := flag.Int64("reasm-budget", 0, "per-core byte budget for out-of-order reassembly buffers (0 = 8MiB default, negative = unlimited)")
 	pktbufBudget := flag.Int64("pktbuf-budget", 0, "per-core byte budget for pre-verdict packet buffers (0 = 8MiB default, negative = unlimited)")
 	streamBudget := flag.Int64("stream-budget", 0, "per-core byte budget for pre-verdict stream buffers (0 = 16MiB default, negative = unlimited)")
-	burst := flag.Int("burst", 0, "datapath burst size (0 = default 32, 1 = legacy packet-at-a-time)")
+	burst := flag.Int("burst", 0, "datapath burst size (0 = default 32, 1 = bursts of one through the same code)")
 	subsFile := flag.String("subs", "", "JSON file of {name, filter, callback} subscription specs; runs them all as one multi-subscription set (overrides -filter/-subscribe)")
 	offload := flag.Bool("offload", false, "enable the dynamic flow-offload fastpath; the trace is replayed through the simulated NIC datapath (online mode) so decided flows are dropped at the device")
 	offloadRules := flag.Int("offload-rules", 0, "flow-offload rule-table budget (0 = device capacity)")

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"retina/internal/conntrack"
-	"retina/internal/filter"
 	"retina/internal/layers"
 	"retina/internal/mbuf"
 )
@@ -19,25 +18,38 @@ type timedFrame struct {
 // land inside a small test workload.
 func burstTestCore(t *testing.T, burst int, sub *Subscription) *Core {
 	t.Helper()
-	prog, err := filter.Compile("ipv4 and tcp", filter.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ct := conntrack.DefaultConfig()
 	ct.EstablishTimeout = 500_000    // 0.5s virtual
 	ct.InactivityTimeout = 1_000_000 // 1s virtual
-	c, err := NewCore(0, Config{Program: prog, Sub: sub, Conntrack: ct, BurstSize: burst})
+	c, err := NewCore(0, Config{Set: testSet(t, "ipv4 and tcp", sub), Conntrack: ct, BurstSize: burst})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
+// processBursts feeds w through the core in bursts of the given size.
+func processBursts(c *Core, w []timedFrame, burst int) {
+	for i := 0; i < len(w); i += burst {
+		end := i + burst
+		if end > len(w) {
+			end = len(w)
+		}
+		batch := make([]*mbuf.Mbuf, 0, burst)
+		for _, tf := range w[i:end] {
+			m := mbuf.FromBytes(tf.frame)
+			m.RxTick = tf.tick
+			batch = append(batch, m)
+		}
+		c.ProcessBurst(batch)
+	}
+}
+
 // timerWorkload builds a sequence where connection A goes idle and its
 // inactivity deadline falls between two bursts while connection B keeps
 // the clock advancing, so the once-per-burst wheel advance must expire
 // A at the first burst boundary past the deadline — the same virtual
-// tick at which the per-packet path expires it.
+// tick at which bursts of one expire it.
 func timerWorkload(t *testing.T) []timedFrame {
 	a := newFlow(t, 40001, 443)
 	b := newFlow(t, 40002, 443)
@@ -62,8 +74,7 @@ func timerWorkload(t *testing.T) []timedFrame {
 }
 
 // TestBurstBoundaryTimerSemantics runs the same seeded workload through
-// the legacy packet-at-a-time path and through ProcessBurst at burst=32
-// and asserts identical delivered/created/expired accounting. Timer
+// ProcessBurst at burst=1 and at burst=32 and asserts identical delivered/created/expired accounting. Timer
 // expiry moves to burst boundaries under batching; for any workload
 // whose idle gaps exceed a burst's virtual span (microseconds here,
 // against second-scale timeouts) the observable counts must not change.
@@ -72,28 +83,7 @@ func TestBurstBoundaryTimerSemantics(t *testing.T) {
 		var conns uint64
 		sub := &Subscription{Level: LevelConnection, OnConn: func(*ConnRecord) { conns++ }}
 		c := burstTestCore(t, burst, sub)
-		w := timerWorkload(t)
-		if burst <= 1 {
-			for _, tf := range w {
-				m := mbuf.FromBytes(tf.frame)
-				m.RxTick = tf.tick
-				c.ProcessMbuf(m)
-			}
-		} else {
-			for i := 0; i < len(w); i += burst {
-				end := i + burst
-				if end > len(w) {
-					end = len(w)
-				}
-				batch := make([]*mbuf.Mbuf, 0, burst)
-				for _, tf := range w[i:end] {
-					m := mbuf.FromBytes(tf.frame)
-					m.RxTick = tf.tick
-					batch = append(batch, m)
-				}
-				c.ProcessBurst(batch)
-			}
-		}
+		processBursts(c, timerWorkload(t), burst)
 		// Capture pre-flush: expiry-driven deliveries must already have
 		// happened during processing, not only at the final flush.
 		preFlush := conns
@@ -107,27 +97,26 @@ func TestBurstBoundaryTimerSemantics(t *testing.T) {
 		return st, preFlush, live
 	}
 
-	legacy, legacyPre, legacyLive := run(1)
+	single, singlePre, singleLive := run(1)
 	burst, burstPre, burstLive := run(32)
 
-	if legacyPre == 0 {
+	if singlePre == 0 {
 		t.Fatal("workload never expired a connection before flush; timer path untested")
 	}
-	if legacyPre != burstPre {
-		t.Fatalf("pre-flush conn deliveries diverge: legacy=%d burst=%d", legacyPre, burstPre)
+	if singlePre != burstPre {
+		t.Fatalf("pre-flush conn deliveries diverge: single=%d burst=%d", singlePre, burstPre)
 	}
-	if legacyLive != burstLive {
-		t.Fatalf("live connections at end diverge: legacy=%d burst=%d", legacyLive, burstLive)
+	if singleLive != burstLive {
+		t.Fatalf("live connections at end diverge: single=%d burst=%d", singleLive, burstLive)
 	}
-	if legacy != burst {
-		t.Fatalf("core stats diverge between burst=1 and burst=32:\nlegacy: %+v\nburst:  %+v", legacy, burst)
+	if single != burst {
+		t.Fatalf("core stats diverge between burst=1 and burst=32:\nsingle: %+v\nburst:  %+v", single, burst)
 	}
 }
 
 // TestProcessBurstMatchesPerPacket feeds an arbitrary mixed workload
-// (no timer pressure) through both paths and requires byte-identical
-// counter snapshots: burst=1 through ProcessBurst must equal the
-// legacy ProcessMbuf loop, and burst=32 must equal both.
+// (no timer pressure) through ProcessBurst at burst=1 and burst=32 and
+// requires byte-identical counter snapshots.
 func TestProcessBurstMatchesPerPacket(t *testing.T) {
 	mkWorkload := func() []timedFrame {
 		f := newFlow(t, 41001, 443)
@@ -154,44 +143,19 @@ func TestProcessBurstMatchesPerPacket(t *testing.T) {
 		return w
 	}
 
-	run := func(burst int, viaBurstAPI bool) CoreStats {
+	run := func(burst int) CoreStats {
 		sub := &Subscription{Level: LevelConnection, OnConn: func(*ConnRecord) {}}
 		c := burstTestCore(t, burst, sub)
-		w := mkWorkload()
-		if !viaBurstAPI {
-			for _, tf := range w {
-				m := mbuf.FromBytes(tf.frame)
-				m.RxTick = tf.tick
-				c.ProcessMbuf(m)
-			}
-		} else {
-			for i := 0; i < len(w); i += burst {
-				end := i + burst
-				if end > len(w) {
-					end = len(w)
-				}
-				batch := make([]*mbuf.Mbuf, 0, burst)
-				for _, tf := range w[i:end] {
-					m := mbuf.FromBytes(tf.frame)
-					m.RxTick = tf.tick
-					batch = append(batch, m)
-				}
-				c.ProcessBurst(batch)
-			}
-		}
+		processBursts(c, mkWorkload(), burst)
 		c.Flush()
 		st := c.Stats()
 		st.Delivered = 0
 		return st
 	}
 
-	legacy := run(1, false)
-	single := run(1, true)
-	batched := run(32, true)
-	if legacy != single {
-		t.Fatalf("ProcessBurst(burst=1) diverges from ProcessMbuf:\nlegacy: %+v\nsingle: %+v", legacy, single)
-	}
-	if legacy != batched {
-		t.Fatalf("ProcessBurst(burst=32) diverges from ProcessMbuf:\nlegacy: %+v\nburst:  %+v", legacy, batched)
+	single := run(1)
+	batched := run(32)
+	if single != batched {
+		t.Fatalf("ProcessBurst(burst=32) diverges from burst=1:\nsingle: %+v\nburst:  %+v", single, batched)
 	}
 }

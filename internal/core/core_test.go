@@ -73,25 +73,45 @@ func (f *flow) teardown() [][]byte {
 	}
 }
 
-func newTestCore(t *testing.T, filterSrc string, sub *Subscription) *Core {
-	t.Helper()
+// newSet builds the one-slot program set of a single-subscription test
+// core.
+func newSet(filterSrc string, sub *Subscription) (*ProgramSet, error) {
 	prog, err := filter.Compile(filterSrc, filter.Options{})
+	if err != nil {
+		return nil, err
+	}
+	spec := &SubSpec{Name: "test", Filter: filterSrc, Sub: sub, Prog: prog, NeedsConn: prog.NeedsConnTracking()}
+	return NewProgramSet(0, []*SubSpec{spec}, nil)
+}
+
+// testSet is newSet failing the test on error.
+func testSet(t *testing.T, filterSrc string, sub *Subscription) *ProgramSet {
+	t.Helper()
+	ps, err := newSet(filterSrc, sub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCore(0, Config{Program: prog, Sub: sub, Conntrack: conntrack.DefaultConfig()})
+	return ps
+}
+
+func newTestCore(t *testing.T, filterSrc string, sub *Subscription) *Core {
+	t.Helper()
+	c, err := NewCore(0, Config{Set: testSet(t, filterSrc, sub), Conntrack: conntrack.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
+// processOne runs one mbuf through the core as a burst of one.
+func processOne(c *Core, m *mbuf.Mbuf) { c.ProcessBurst([]*mbuf.Mbuf{m}) }
+
 // feed pushes raw frames through the core at increasing ticks.
 func feed(c *Core, frames [][]byte) {
 	for i, fr := range frames {
 		m := mbuf.FromBytes(fr)
 		m.RxTick = c.Now() + uint64(i+1)*1000
-		c.ProcessMbuf(m)
+		processOne(c, m)
 	}
 }
 
@@ -452,7 +472,7 @@ func TestMbufRefcountHygiene(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.RxTick = uint64(i+1) * 1000
-		c.ProcessMbuf(m)
+		processOne(c, m)
 	}
 	c.Flush()
 	if pool.Available() != pool.Size() {
@@ -461,12 +481,13 @@ func TestMbufRefcountHygiene(t *testing.T) {
 }
 
 func TestSubscriptionValidation(t *testing.T) {
-	prog := filter.MustCompile("ipv4", filter.Options{})
-	_, err := NewCore(0, Config{Program: prog, Sub: &Subscription{Level: LevelPacket}})
-	if err == nil {
+	if _, err := newSet("ipv4", &Subscription{Level: LevelPacket}); err == nil {
 		t.Fatal("subscription without callback accepted")
 	}
-	_, err = NewCore(0, Config{Program: prog, Sub: &Subscription{Level: LevelSession, OnSession: func(*SessionEvent) {}, SessionProtos: []string{"bogus"}}})
+	ps, err := newSet("ipv4", &Subscription{Level: LevelSession, OnSession: func(*SessionEvent) {}, SessionProtos: []string{"bogus"}})
+	if err == nil {
+		_, err = NewCore(0, Config{Set: ps})
+	}
 	if err == nil {
 		t.Fatal("unknown session protocol accepted")
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"retina/internal/conntrack"
-	"retina/internal/filter"
 	"retina/internal/layers"
 	"retina/internal/mbuf"
 )
@@ -14,14 +13,9 @@ func TestPacketBufferCapBounded(t *testing.T) {
 	// A packet subscription on a connection whose verdict never comes
 	// (session predicate, handshake never completes) must not buffer
 	// unboundedly.
-	prog, err := filter.Compile("tls.sni ~ 'never'", filter.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	delivered := 0
 	c, err := NewCore(0, Config{
-		Program:         prog,
-		Sub:             &Subscription{Level: LevelPacket, OnPacket: func(*Packet) { delivered++ }},
+		Set:             testSet(t, "tls.sni ~ 'never'", &Subscription{Level: LevelPacket, OnPacket: func(*Packet) { delivered++ }}),
 		Conntrack:       conntrack.DefaultConfig(),
 		PacketBufferCap: 8,
 	})
@@ -45,16 +39,11 @@ func TestPacketBufferCapBounded(t *testing.T) {
 }
 
 func TestConnTableFullDropsGracefully(t *testing.T) {
-	prog, err := filter.Compile("ipv4 and tcp", filter.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	recs := 0
 	ct := conntrack.DefaultConfig()
 	ct.MaxConns = 4
 	c, err := NewCore(0, Config{
-		Program:   prog,
-		Sub:       &Subscription{Level: LevelConnection, OnConn: func(*ConnRecord) { recs++ }},
+		Set:       testSet(t, "ipv4 and tcp", &Subscription{Level: LevelConnection, OnConn: func(*ConnRecord) { recs++ }}),
 		Conntrack: ct,
 	})
 	if err != nil {
@@ -76,13 +65,8 @@ func TestConnTableFullDropsGracefully(t *testing.T) {
 
 func TestProbeBudgetGivesUp(t *testing.T) {
 	// A stream that never identifies must stop consuming probe work.
-	prog, err := filter.Compile("tls", filter.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	c, err := NewCore(0, Config{
-		Program:   prog,
-		Sub:       &Subscription{Level: LevelSession, OnSession: func(*SessionEvent) {}},
+		Set:       testSet(t, "tls", &Subscription{Level: LevelSession, OnSession: func(*SessionEvent) {}}),
 		Conntrack: conntrack.DefaultConfig(),
 	})
 	if err != nil {
@@ -114,14 +98,9 @@ func TestMarkUpgradeOnLaterPacket(t *testing.T) {
 	// Filter with a port predicate only some packets satisfy: the
 	// connection's mark must upgrade when a deeper-matching packet
 	// arrives, letting the conn filter succeed.
-	prog, err := filter.Compile("(tcp.dst_port = 443 and tls) or tcp", filter.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	seen := 0
 	c, err := NewCore(0, Config{
-		Program:   prog,
-		Sub:       &Subscription{Level: LevelConnection, OnConn: func(*ConnRecord) { seen++ }},
+		Set:       testSet(t, "(tcp.dst_port = 443 and tls) or tcp", &Subscription{Level: LevelConnection, OnConn: func(*ConnRecord) { seen++ }}),
 		Conntrack: conntrack.DefaultConfig(),
 	})
 	if err != nil {
@@ -138,14 +117,9 @@ func TestMarkUpgradeOnLaterPacket(t *testing.T) {
 }
 
 func TestZeroLengthAndWeirdFrames(t *testing.T) {
-	prog, err := filter.Compile("", filter.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := 0
 	c, err := NewCore(0, Config{
-		Program:   prog,
-		Sub:       &Subscription{Level: LevelPacket, OnPacket: func(*Packet) { n++ }},
+		Set:       testSet(t, "", &Subscription{Level: LevelPacket, OnPacket: func(*Packet) { n++ }}),
 		Conntrack: conntrack.DefaultConfig(),
 	})
 	if err != nil {
@@ -155,7 +129,7 @@ func TestZeroLengthAndWeirdFrames(t *testing.T) {
 	for _, fr := range [][]byte{{}, {1}, bytes.Repeat([]byte{0xFF}, 13), bytes.Repeat([]byte{0xFF}, 64)} {
 		m := mbuf.FromBytes(fr)
 		m.RxTick = 1
-		c.ProcessMbuf(m)
+		processOne(c, m)
 	}
 	// Only the 64-byte frame can possibly decode as Ethernet.
 	if c.Stats().Processed != 4 {

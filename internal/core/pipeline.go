@@ -33,15 +33,8 @@ const maxStreamBufBytes = 256 << 10
 
 // Config configures one processing core.
 type Config struct {
-	// Program is the compiled filter (single-subscription construction;
-	// ignored when Set is non-nil).
-	Program *filter.Program
-	// Sub is the user's subscription (single-subscription construction;
-	// ignored when Set is non-nil).
-	Sub *Subscription
-	// Set is the initial multi-subscription program set. When nil, a
-	// one-slot static set is built from Program and Sub — the historical
-	// single-subscription datapath, packet-for-packet identical.
+	// Set is the initial program set (required): the subscriptions the
+	// core serves until the control plane publishes another.
 	Set *ProgramSet
 	// Conntrack configures the core's connection table.
 	Conntrack conntrack.Config
@@ -51,9 +44,6 @@ type Config struct {
 	Profile bool
 	// PacketBufferCap overrides the per-connection packet buffer bound.
 	PacketBufferCap int
-	// ExtraParsers supplies user-defined protocol parser factories
-	// (Appendix A), layered over the built-ins.
-	ExtraParsers map[string]proto.Factory
 	// Tracer, when non-nil, samples connections for lifecycle tracing.
 	// It may be shared across cores (sampling is atomic).
 	Tracer *telemetry.ConnTracer
@@ -67,9 +57,9 @@ type Config struct {
 	// RingSignal reports (used, capacity) of the core's receive ring;
 	// nil disables the ring high-watermark shedding signal.
 	RingSignal func() (used, capacity int)
-	// BurstSize is the receive burst the core dequeues and processes at
-	// a time (Run / ProcessBurst). <= 0 selects DefaultBurstSize; 1
-	// reproduces the per-packet datapath exactly.
+	// BurstSize is the receive burst Run dequeues and processes at a
+	// time. <= 0 selects DefaultBurstSize; 1 runs bursts of one through
+	// the same code.
 	BurstSize int
 	// Offload, when non-nil, receives per-connection terminal-verdict
 	// notifications at burst boundaries — the dynamic flow-offload
@@ -159,18 +149,14 @@ type Core struct {
 	exportMig *Migration
 	migErrs   atomic.Uint64
 
-	parsed layers.Parsed
-	now    uint64
+	now uint64
 
-	// Burst-mode scratch state: one decode slot, one match mask, and one
+	// Burst scratch state: one decode slot, one match mask, and one
 	// slot-indexed filter result row per packet of the largest burst
 	// seen, reused across bursts so the steady state allocates nothing.
-	burstSize   int
 	burstParsed []layers.Parsed
 	burstMask   []uint64
 	burstRes    []filter.Result
-	// singleRes is the one-packet result row for ProcessMbuf.
-	singleRes []filter.Result
 
 	// pktScratch is this core's reusable packet-filter accumulator
 	// (avoids a per-packet heap allocation in both engines).
@@ -411,28 +397,7 @@ func (cs *connState) allRejected() bool {
 func NewCore(id int, cfg Config) (*Core, error) {
 	ps := cfg.Set
 	if ps == nil {
-		if cfg.Program == nil {
-			return nil, fmt.Errorf("core: nil filter program")
-		}
-		if cfg.Sub == nil {
-			return nil, fmt.Errorf("core: nil subscription")
-		}
-		if err := cfg.Sub.Validate(); err != nil {
-			return nil, err
-		}
-		spec := &SubSpec{
-			ID:        0,
-			Name:      "static",
-			Filter:    cfg.Program.Source,
-			Sub:       cfg.Sub,
-			Prog:      cfg.Program,
-			NeedsConn: cfg.Program.NeedsConnTracking(),
-		}
-		var err error
-		ps, err = NewProgramSet(0, []*SubSpec{spec}, cfg.ExtraParsers)
-		if err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("core: nil program set")
 	}
 	reg, err := proto.BuildRegistryWith(ps.ParserNames, ps.ExtraParsers)
 	if err != nil {
@@ -452,15 +417,14 @@ func NewCore(id int, cfg Config) (*Core, error) {
 		cfg.BurstSize = DefaultBurstSize
 	}
 	c := &Core{
-		ID:        id,
-		cfg:       cfg,
-		ps:        ps,
-		table:     conntrack.NewTable(cfg.Conntrack),
-		parReg:    reg,
-		stages:    NewStageStats(cfg.Profile),
-		tracer:    cfg.Tracer,
-		acct:      acct,
-		burstSize: cfg.BurstSize,
+		ID:     id,
+		cfg:    cfg,
+		ps:     ps,
+		table:  conntrack.NewTable(cfg.Conntrack),
+		parReg: reg,
+		stages: NewStageStats(cfg.Profile),
+		tracer: cfg.Tracer,
+		acct:   acct,
 	}
 	c.acked.Store(ps.Epoch)
 	c.protoCtr.Store(newProtoCounters(reg.Names()))
@@ -607,50 +571,6 @@ func (c *Core) Duty() *DutyStats { return c.duty }
 // Witness returns the core's elephant-flow witness (nil when
 // Config.Latency is off).
 func (c *Core) Witness() *FlowWitness { return c.wit }
-
-// ProcessMbuf consumes one packet buffer from the core's receive queue.
-// It owns the mbuf and frees it (directly or after buffering). This is
-// the burst=1 datapath; ProcessBurst is the batched equivalent.
-func (c *Core) ProcessMbuf(m *mbuf.Mbuf) {
-	c.pickup()
-	if c.lat != nil {
-		c.nowNs = metrics.NowNanos()
-	}
-	var d burstDelta
-	d.processed = 1
-	if m.RxTick > c.now {
-		c.now = m.RxTick
-	}
-
-	slots := len(c.ps.Multi.Slots)
-	if cap(c.singleRes) < slots {
-		c.singleRes = make([]filter.Result, slots)
-	}
-	res := c.singleRes[:slots]
-
-	// Stage: software packet filter (decode + per-subscription trie
-	// match).
-	var mask uint64
-	c.stages.Time(StageSWFilter, func() {
-		if err := c.parsed.DecodeLayers(m.Data()); err != nil {
-			mask = 0
-			return
-		}
-		mask = c.ps.Multi.PacketInto(&c.parsed, &c.pktScratch, res)
-	})
-	c.processFiltered(&c.parsed, m, filter.MultiResult{Mask: mask, Res: res}, &d)
-	c.foldDelta(&d)
-	m.Free()
-	c.advance()
-	c.flushOffload()
-	if c.lat != nil {
-		c.obsBursts++
-		if c.obsBursts&(obsFlushEvery-1) == 0 {
-			c.lat.flush()
-			c.wit.publish()
-		}
-	}
-}
 
 // ProcessBurst consumes a burst of packet buffers in two passes: decode
 // + software packet filter over the whole batch (one stage-timer entry,
@@ -2268,16 +2188,20 @@ func (c *Core) deliverSessionTo(spec *SubSpec, conn *conntrack.Conn, s *proto.Se
 }
 
 // Run consumes bursts from a receive ring until it closes, then flushes.
-// With BurstSize 1 every dequeue processes a single mbuf and the
-// datapath is packet-for-packet identical to the historical per-packet
-// loop (the bisection baseline). A poked ring wakes the loop without
-// data so a newly published program set is picked up while idle.
+// A poked ring wakes the loop without data so a newly published program
+// set is picked up while idle.
+//
+// With Config.Latency on, the loop also keeps the duty ledger: every
+// wall interval is attributed to busy (dequeue + processing) or wait
+// (parked in ring Wait), and ring depth observed at each dequeue is
+// integrated over the iteration it fed — two clock reads per burst or
+// park, never per packet, and none at all with Latency off.
 func (c *Core) Run(queue RxRing) {
+	buf := make([]*mbuf.Mbuf, c.cfg.BurstSize)
+	var last int64
 	if c.duty != nil {
-		c.runAccounted(queue)
-		return
+		last = metrics.NowNanos()
 	}
-	buf := make([]*mbuf.Mbuf, c.burstSize)
 	for {
 		c.pickup()
 		if c.migFlag.Load() {
@@ -2286,70 +2210,40 @@ func (c *Core) Run(queue RxRing) {
 		n := queue.DequeueBurst(buf)
 		if n == 0 {
 			c.maybeCompleteExport(queue) // empty ring has trivially drained
-			if !queue.Wait() {
-				break
+			var t0 int64
+			if c.duty != nil {
+				t0 = metrics.NowNanos()
+				c.duty.busyNs.Add(t0 - last)
 			}
-			continue
-		}
-		if c.burstSize == 1 {
-			c.ProcessMbuf(buf[0])
-		} else {
-			c.ProcessBurst(buf[:n])
-		}
-		c.maybeCompleteExport(queue)
-	}
-	c.pickup()
-	if c.migFlag.Load() {
-		c.handleMigrations(queue)
-	}
-	c.maybeCompleteExport(queue)
-	c.Flush()
-}
-
-// runAccounted is Run with duty-cycle accounting: every wall interval
-// is attributed to busy (dequeue + processing) or wait (parked in ring
-// Wait), and ring depth observed at each dequeue is integrated over the
-// iteration it fed — two clock reads per burst or park, never per
-// packet.
-func (c *Core) runAccounted(queue RxRing) {
-	buf := make([]*mbuf.Mbuf, c.burstSize)
-	last := metrics.NowNanos()
-	for {
-		c.pickup()
-		if c.migFlag.Load() {
-			c.handleMigrations(queue)
-		}
-		n := queue.DequeueBurst(buf)
-		if n == 0 {
-			c.maybeCompleteExport(queue) // empty ring has trivially drained
-			t0 := metrics.NowNanos()
-			c.duty.busyNs.Add(t0 - last)
 			ok := queue.Wait()
-			last = metrics.NowNanos()
-			c.duty.waitNs.Add(last - t0)
-			c.duty.wakeups.Add(1)
+			if c.duty != nil {
+				last = metrics.NowNanos()
+				c.duty.waitNs.Add(last - t0)
+				c.duty.wakeups.Add(1)
+			}
 			if !ok {
 				break
 			}
 			continue
 		}
-		depth := int64(n)
-		if c.cfg.RingSignal != nil {
-			used, _ := c.cfg.RingSignal()
-			depth += int64(used) // what remained after this dequeue
+		var depth int64
+		if c.duty != nil {
+			depth = int64(n)
+			if c.cfg.RingSignal != nil {
+				used, _ := c.cfg.RingSignal()
+				depth += int64(used) // what remained after this dequeue
+			}
 		}
-		if c.burstSize == 1 {
-			c.ProcessMbuf(buf[0])
-		} else {
-			c.ProcessBurst(buf[:n])
-		}
+		c.ProcessBurst(buf[:n])
 		c.maybeCompleteExport(queue)
-		now := metrics.NowNanos()
-		iter := now - last
-		c.duty.busyNs.Add(iter)
-		c.duty.occWeighted.Add(iter * depth)
-		c.duty.bursts.Add(1)
-		last = now
+		if c.duty != nil {
+			now := metrics.NowNanos()
+			iter := now - last
+			c.duty.busyNs.Add(iter)
+			c.duty.occWeighted.Add(iter * depth)
+			c.duty.bursts.Add(1)
+			last = now
+		}
 	}
 	c.pickup()
 	if c.migFlag.Load() {

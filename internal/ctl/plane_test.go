@@ -83,7 +83,7 @@ func feed(c *core.Core, frames ...[]byte) {
 	for i, fr := range frames {
 		m := mbuf.FromBytes(fr)
 		m.RxTick = c.Now() + uint64(i+1)*1000
-		c.ProcessMbuf(m)
+		c.ProcessBurst([]*mbuf.Mbuf{m})
 	}
 }
 
@@ -320,7 +320,7 @@ func BenchmarkSubscriptionSwap(b *testing.B) {
 	p.Start()
 	defer p.Stop()
 
-	// One goroutine consumes packets continuously (each ProcessMbuf is a
+	// One goroutine consumes packets continuously (each burst of one is a
 	// burst boundary, i.e. a pickup opportunity), while the benchmark
 	// loop churns add/remove swaps through the plane.
 	stop := make(chan struct{})
@@ -329,6 +329,7 @@ func BenchmarkSubscriptionSwap(b *testing.B) {
 		f := newConn(40400, 443, layers.IPProtoTCP)
 		frame := f.pkt(true, layers.TCPAck, []byte("y"))
 		var tick uint64
+		one := make([]*mbuf.Mbuf, 1)
 		for {
 			select {
 			case <-stop:
@@ -338,7 +339,8 @@ func BenchmarkSubscriptionSwap(b *testing.B) {
 			m := mbuf.FromBytes(frame)
 			tick += 1000
 			m.RxTick = tick
-			c.ProcessMbuf(m)
+			one[0] = m
+			c.ProcessBurst(one)
 			pkts.Add(1)
 		}
 	}()
@@ -443,9 +445,7 @@ func TestPlaneReconcileErrorSurfaced(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("dequeued %d frames, want 3", n)
 	}
-	for _, m := range buf[:n] {
-		c.ProcessMbuf(m)
-	}
+	c.ProcessBurst(buf[:n])
 	if nTLS.Load() != 1 || nDNS.Load() != 1 {
 		t.Fatalf("deliveries tls=%d dns=%d, want 1/1", nTLS.Load(), nDNS.Load())
 	}

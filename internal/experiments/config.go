@@ -3,8 +3,8 @@ package experiments
 import "retina"
 
 // BurstSize overrides the datapath burst size for every experiment in
-// this package (0 = framework default of 32, 1 = legacy packet-at-a-
-// time). retina-bench's -burst flag sets it before running experiments
+// this package (0 = framework default of 32, 1 = bursts of one through
+// the same code). retina-bench's -burst flag sets it before running experiments
 // so figure/table reproductions can be compared across batch sizes.
 var BurstSize int
 

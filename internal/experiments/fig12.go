@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"retina"
@@ -34,7 +35,9 @@ var Fig12Filters = []struct {
 	{"Netflix traffic", NetflixFilter32},
 }
 
-// Fig12Point is one (trace, filter) speedup measurement.
+// Fig12Point is one (trace, filter) speedup measurement. CompiledSec and
+// InterpSec are each engine's best run; Speedup is the median of the
+// per-pair interpreted/compiled ratios.
 type Fig12Point struct {
 	Trace       string
 	Filter      string
@@ -44,6 +47,7 @@ type Fig12Point struct {
 }
 
 // Fig12Config parameterizes the compiled-vs-interpreted comparison.
+// Repeats is the number of compiled/interpreted run pairs per cell.
 type Fig12Config struct {
 	FlowsPerTrace int
 	Repeats       int
@@ -75,42 +79,68 @@ func RunFig12(cfg Fig12Config, scale float64) []Fig12Point {
 			ticks = append(ticks, tk)
 		}
 		for _, fl := range Fig12Filters {
-			comp := fig12Run(fl.Filter, false, frames, ticks, cfg.Repeats)
-			interp := fig12Run(fl.Filter, true, frames, ticks, cfg.Repeats)
-			sp := 0.0
-			if comp > 0 {
-				sp = interp / comp
-			}
-			out = append(out, Fig12Point{
-				Trace: prof.Name(), Filter: fl.Label,
-				CompiledSec: comp, InterpSec: interp, Speedup: sp,
-			})
+			pt := fig12Cell(fl.Filter, frames, ticks, cfg.Repeats)
+			pt.Trace, pt.Filter = prof.Name(), fl.Label
+			out = append(out, pt)
 		}
 	}
 	return out
 }
 
-func fig12Run(filterSrc string, interpreted bool, frames [][]byte, ticks []uint64, repeats int) float64 {
-	best := 0.0
+// fig12Cell times the two engines pair by pair, alternating which runs
+// first, so host-speed drift during the cell hits both sides of every
+// pair alike; the median pair ratio then discards outlier pairs.
+func fig12Cell(filterSrc string, frames [][]byte, ticks []uint64, repeats int) Fig12Point {
+	if repeats < 1 {
+		repeats = 1
+	}
+	var pt Fig12Point
+	ratios := make([]float64, 0, repeats)
 	for r := 0; r < repeats; r++ {
-		cfg := baseConfig()
-		cfg.Filter = filterSrc
-		cfg.Cores = 1
-		cfg.Interpreted = interpreted
-		cfg.PoolSize = 8192
-		// The Appendix B task: log TLS handshakes matching the filter.
-		rt, err := retina.New(cfg, retina.TLSHandshakes(func(*retina.TLSHandshake, *retina.SessionEvent) {}))
-		if err != nil {
-			panic(fmt.Sprintf("fig12 filter %q: %v", filterSrc, err))
+		var comp, interp float64
+		if r%2 == 0 {
+			comp = fig12Run(filterSrc, false, frames, ticks)
+			interp = fig12Run(filterSrc, true, frames, ticks)
+		} else {
+			interp = fig12Run(filterSrc, true, frames, ticks)
+			comp = fig12Run(filterSrc, false, frames, ticks)
 		}
-		start := time.Now()
-		rt.RunOffline(&sliceSource{frames: frames, ticks: ticks})
-		el := time.Since(start).Seconds()
-		if best == 0 || el < best {
-			best = el
+		if pt.CompiledSec == 0 || comp < pt.CompiledSec {
+			pt.CompiledSec = comp
+		}
+		if pt.InterpSec == 0 || interp < pt.InterpSec {
+			pt.InterpSec = interp
+		}
+		if comp > 0 {
+			ratios = append(ratios, interp/comp)
 		}
 	}
-	return best
+	if len(ratios) > 0 {
+		sort.Float64s(ratios)
+		mid := len(ratios) / 2
+		pt.Speedup = ratios[mid]
+		if len(ratios)%2 == 0 {
+			pt.Speedup = (ratios[mid-1] + ratios[mid]) / 2
+		}
+	}
+	return pt
+}
+
+// fig12Run times one offline run of the trace and returns its seconds.
+func fig12Run(filterSrc string, interpreted bool, frames [][]byte, ticks []uint64) float64 {
+	cfg := baseConfig()
+	cfg.Filter = filterSrc
+	cfg.Cores = 1
+	cfg.Interpreted = interpreted
+	cfg.PoolSize = 8192
+	// The Appendix B task: log TLS handshakes matching the filter.
+	rt, err := retina.New(cfg, retina.TLSHandshakes(func(*retina.TLSHandshake, *retina.SessionEvent) {}))
+	if err != nil {
+		panic(fmt.Sprintf("fig12 filter %q: %v", filterSrc, err))
+	}
+	start := time.Now()
+	rt.RunOffline(&sliceSource{frames: frames, ticks: ticks})
+	return time.Since(start).Seconds()
 }
 
 // PrintFig12 renders the speedup grid.

@@ -165,8 +165,8 @@ func TestStaticRuleHitCounters(t *testing.T) {
 
 // TestOversizeFrameAttribution is the allocMbuf misattribution
 // regression: a frame larger than the pool's buffers must count as
-// oversize_frame, not no_mbuf, in both the legacy per-packet path and
-// the burst path — and conservation must hold either way.
+// oversize_frame, not no_mbuf, whether frames are staged in bursts of
+// one or of eight — and conservation must hold either way.
 func TestOversizeFrameAttribution(t *testing.T) {
 	big := make([]byte, 4096)
 	copy(big, buildTCP("1.1.1.1", "2.2.2.2", 1, 443))
@@ -175,7 +175,7 @@ func TestOversizeFrameAttribution(t *testing.T) {
 		name  string
 		burst int
 	}{
-		{"legacy", 1},
+		{"single", 1},
 		{"burst", 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -86,7 +86,8 @@ type Config struct {
 	// Burst sets the producer-side staging depth: Deliver stages up to
 	// Burst mbufs per queue and publishes them with a single ring
 	// operation, and buffers are drawn from the pool in bulk. 0 or 1
-	// selects the legacy per-packet enqueue.
+	// stages bursts of one through the same code, so every frame is
+	// published by its own Deliver.
 	Burst int
 	// RxStamp stamps every accepted frame with metrics.NowNanos at
 	// ingress (Mbuf.RxNanos) — the hardware RX timestamp the latency
@@ -111,8 +112,8 @@ type NIC struct {
 	parsed  layers.Parsed // hardware parser state (Deliver is single-producer)
 	scratch [36]byte
 
-	// Burst-mode producer state (single-producer, like Deliver itself):
-	// pending stages per-queue mbufs until a full burst is published with
+	// Staging state (single-producer, like Deliver itself): pending
+	// stages per-queue mbufs until a full burst is published with
 	// one EnqueueBurst; cache holds bulk-allocated buffers so the pool
 	// lock is taken once per burst, not once per packet.
 	burst   int
@@ -207,6 +208,9 @@ func New(cfg Config) *NIC {
 	if cfg.RetaSize <= 0 {
 		cfg.RetaSize = DefaultRetaSize
 	}
+	if cfg.Burst <= 0 {
+		cfg.Burst = 1
+	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = filter.DefaultRegistry()
@@ -225,13 +229,11 @@ func New(cfg Config) *NIC {
 	}
 	n.tbl.Store(emptyRuleTable)
 	n.ftbl.Store(emptyFlowTable)
-	if n.burst > 1 {
-		n.pending = make([][]*mbuf.Mbuf, cfg.Queues)
-		for i := range n.pending {
-			n.pending[i] = make([]*mbuf.Mbuf, 0, n.burst)
-		}
-		n.cache = make([]*mbuf.Mbuf, n.burst)
+	n.pending = make([][]*mbuf.Mbuf, cfg.Queues)
+	for i := range n.pending {
+		n.pending[i] = make([]*mbuf.Mbuf, 0, n.burst)
 	}
+	n.cache = make([]*mbuf.Mbuf, n.burst)
 	return n
 }
 
@@ -466,6 +468,16 @@ func (n *NIC) Close() {
 	}
 }
 
+// Reopen readies a closed port for another run: its rings take
+// consumers again instead of reporting end of traffic. Call it from the
+// producer goroutine before the consumers start.
+func (n *NIC) Reopen() {
+	n.closed.Store(false)
+	for _, r := range n.rings {
+		r.closed.Store(false)
+	}
+}
+
 // Closed reports whether Close has run — the producer has finished and
 // will never touch producer-owned state again, so queued assignment
 // requests may be applied from another goroutine (ApplyAssignsClosed).
@@ -537,15 +549,6 @@ func (n *NIC) deliver(frame []byte, tick uint64) {
 	m.RSSHash = hash
 	m.RxNanos = n.nowNs
 
-	if n.burst <= 1 {
-		if n.rings[queue].Enqueue(m) {
-			n.delivered.Add(1)
-		} else {
-			m.Free()
-			n.ringDrops.Add(1)
-		}
-		return
-	}
 	n.pending[queue] = append(n.pending[queue], m)
 	if len(n.pending[queue]) >= n.burst {
 		n.flushQueue(int(queue))
@@ -569,25 +572,12 @@ func (n *NIC) DeliverBurst(frames [][]byte, ticks []uint64) {
 	}
 }
 
-// allocMbuf draws a buffer filled with frame, through the bulk cache in
-// burst mode, attributing each failure to its cause: pool exhaustion
-// (no_mbuf, one pool allocation failure recorded per dropped frame,
-// matching the per-packet path) or a frame too large for the buffer
-// geometry (oversize — the pool had buffers, the frame just cannot be
-// stored).
+// allocMbuf draws a buffer filled with frame through the bulk cache,
+// attributing each failure to its cause: pool exhaustion (no_mbuf, one
+// pool allocation failure recorded per dropped frame) or a frame too
+// large for the buffer geometry (oversize — the pool had buffers, the
+// frame just cannot be stored).
 func (n *NIC) allocMbuf(frame []byte) *mbuf.Mbuf {
-	if n.burst <= 1 {
-		m, err := n.cfg.Pool.AllocData(frame)
-		if err != nil {
-			if errors.Is(err, mbuf.ErrTooLarge) {
-				n.oversize.Add(1)
-			} else {
-				n.noMbuf.Add(1)
-			}
-			return nil
-		}
-		return m
-	}
 	if n.cacheN == 0 {
 		// Refill with what the pool can actually supply so a drained
 		// pool is charged one failure per frame, not one per burst slot.
@@ -616,8 +606,7 @@ func (n *NIC) allocMbuf(frame []byte) *mbuf.Mbuf {
 }
 
 // flushQueue publishes queue q's staged burst. Frames the ring cannot
-// take are dropped and attributed to ring overflow exactly once each —
-// the burst analogue of the per-packet full-ring drop.
+// take are dropped and attributed to ring overflow exactly once each.
 func (n *NIC) flushQueue(q int) {
 	pq := n.pending[q]
 	if len(pq) == 0 {

@@ -324,9 +324,9 @@ func TestNICBurstOverflowExactlyOnce(t *testing.T) {
 	}
 }
 
-// Burst mode must preserve the delivery and accounting semantics of the
-// per-packet path end to end, including returning cached buffers on
-// Close.
+// Staging bursts of 32 must preserve the delivery and accounting
+// semantics of bursts of one (each frame published by its own Deliver)
+// end to end, including returning cached buffers on Close.
 func TestNICBurstMatchesLegacyAccounting(t *testing.T) {
 	run := func(burst int) (Stats, int) {
 		pool := mbuf.NewPool(1024, 2048)
@@ -346,13 +346,13 @@ func TestNICBurstMatchesLegacyAccounting(t *testing.T) {
 		}
 		return n.Stats(), pool.InUse()
 	}
-	legacy, inuse1 := run(1)
+	single, inuse1 := run(1)
 	burst, inuse32 := run(32)
-	if legacy != burst {
-		t.Fatalf("stats diverge:\nlegacy %+v\nburst  %+v", legacy, burst)
+	if single != burst {
+		t.Fatalf("stats diverge:\nburst=1  %+v\nburst=32 %+v", single, burst)
 	}
 	if inuse1 != 0 || inuse32 != 0 {
-		t.Fatalf("pool leak: legacy InUse=%d burst InUse=%d", inuse1, inuse32)
+		t.Fatalf("pool leak: burst=1 InUse=%d burst=32 InUse=%d", inuse1, inuse32)
 	}
 }
 

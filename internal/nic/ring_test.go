@@ -46,8 +46,8 @@ func TestRingCapacityExact(t *testing.T) {
 	if n := r.EnqueueBurst(ms); n != 5 {
 		t.Fatalf("EnqueueBurst = %d, want 5 (configured capacity)", n)
 	}
-	if r.Enqueue(ms[5]) {
-		t.Fatal("Enqueue succeeded on a full ring")
+	if n := r.EnqueueBurst(ms[5:6]); n != 0 {
+		t.Fatalf("EnqueueBurst on a full ring = %d, want 0", n)
 	}
 	if used, capa := r.Occupancy(); used != 5 || capa != 5 {
 		t.Fatalf("Occupancy = %d/%d", used, capa)
@@ -77,8 +77,7 @@ func TestRingPartialEnqueue(t *testing.T) {
 
 func TestRingCloseDrain(t *testing.T) {
 	r := NewRing(4)
-	m := mbuf.FromBytes([]byte{1})
-	r.Enqueue(m)
+	r.EnqueueBurst([]*mbuf.Mbuf{mbuf.FromBytes([]byte{1})})
 	r.Close()
 	if !r.Wait() {
 		t.Fatal("Wait = false with a queued mbuf on a closed ring")

@@ -208,16 +208,16 @@ func runLatencyDifferential(t *testing.T, burst int) *Runtime {
 }
 
 // TestLatencyDifferentialBurstCounts pins the burst-invariance of the
-// observability layer: burst=1 (legacy packet-at-a-time) and burst=32
+// observability layer: burst=1 (bursts of one) and burst=32
 // record exactly the same number of rx→delivery observations and the
 // same number of per-stage samples, because the 1-in-128 sampling
 // decision depends only on invocation counts, never on batching.
 func TestLatencyDifferentialBurstCounts(t *testing.T) {
-	legacy := runLatencyDifferential(t, 1)
+	single := runLatencyDifferential(t, 1)
 	burst := runLatencyDifferential(t, 32)
 
-	for i := range legacy.Cores() {
-		ll, bl := legacy.Cores()[i].Latency(), burst.Cores()[i].Latency()
+	for i := range single.Cores() {
+		ll, bl := single.Cores()[i].Latency(), burst.Cores()[i].Latency()
 		if lc, bc := ll.RxHist().Count(), bl.RxHist().Count(); lc != bc {
 			t.Errorf("core %d: rx→delivery counts diverge: burst=1 %d, burst=32 %d", i, lc, bc)
 		}

@@ -173,10 +173,26 @@ func formatDrops(drops map[string]uint64) string {
 	return b.String()
 }
 
+// formatSubs renders per-subscription callback deliveries as
+// "name:count" pairs in subscription ID order.
+func formatSubs(subs []SubscriptionInfo) string {
+	if len(subs) == 0 {
+		return "none"
+	}
+	var b strings.Builder
+	for i, sub := range subs {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s:%d", sub.Name, sub.Delivered)
+	}
+	return b.String()
+}
+
 // LogMonitor is a convenience Monitor that writes one status line per
 // interval, mirroring Retina's performance log output: throughput,
-// per-subscription callback rate, loss with full drop-reason breakdown,
-// and memory pressure.
+// callback rate with per-subscription delivery counts, loss with full
+// drop-reason breakdown, and memory pressure.
 func (r *Runtime) LogMonitor(w io.Writer, interval time.Duration) (stop func()) {
 	var last LiveStats
 	start := time.Now()
@@ -193,9 +209,9 @@ func (r *Runtime) LogMonitor(w io.Writer, interval time.Duration) (stop func()) 
 				metrics.FormatNanos(s.LatencyP50Ns), metrics.FormatNanos(s.LatencyP99Ns),
 				metrics.FormatNanos(s.LatencyP999Ns), s.BusyFraction*100, s.RSSSkew)
 		}
-		fmt.Fprintf(w, "[retina] rx=%d delivered=%d (%.0f pps) cb[%s]=%d (%.0f/s) hw_drop=%d loss=%d (%.4f%%) drops: %s conns=%d pool=%d/%d mem=%s%s\n",
+		fmt.Fprintf(w, "[retina] rx=%d delivered=%d (%.0f pps) cb=%d (%.0f/s) subs[%s] hw_drop=%d loss=%d (%.4f%%) drops: %s conns=%d pool=%d/%d mem=%s%s\n",
 			s.RxFrames, s.Delivered, rate,
-			r.sub.Level, s.Callbacks, cbRate,
+			s.Callbacks, cbRate, formatSubs(r.plane.List()),
 			s.HWDropped, s.Loss, s.LossRate()*100,
 			formatDrops(s.Drops),
 			s.Conns, s.PoolFree, s.PoolTotal,

@@ -60,18 +60,39 @@ func TestLossRate(t *testing.T) {
 func TestLogMonitorOutput(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 1
-	rt, err := New(cfg, Packets(func(*Packet) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	stop := rt.LogMonitor(&buf, time.Millisecond)
-	src := traffic.NewCampusMix(traffic.CampusConfig{Seed: 4, Flows: 1000, Gbps: 20})
-	rt.Run(src)
-	time.Sleep(5 * time.Millisecond)
-	stop()
-	out := buf.String()
-	if !strings.Contains(out, "[retina] rx=") || !strings.Contains(out, "loss=") {
-		t.Fatalf("log output missing fields:\n%s", out)
+	for _, tc := range []struct {
+		name  string
+		build func() (*Runtime, error)
+	}{
+		{"New", func() (*Runtime, error) { return New(cfg, Packets(func(*Packet) {})) }},
+		// A runtime built empty and subscribed afterwards has no initial
+		// subscription for the log line to describe.
+		{"NewDynamic", func() (*Runtime, error) {
+			rt, err := NewDynamic(cfg)
+			if err != nil {
+				return nil, err
+			}
+			_, err = rt.AddSubscription("main", "", Packets(func(*Packet) {}))
+			return rt, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			stop := rt.LogMonitor(&buf, time.Millisecond)
+			src := traffic.NewCampusMix(traffic.CampusConfig{Seed: 4, Flows: 1000, Gbps: 20})
+			rt.Run(src)
+			time.Sleep(5 * time.Millisecond)
+			stop()
+			out := buf.String()
+			for _, want := range []string{"[retina] rx=", "loss=", "subs[main:"} {
+				if !strings.Contains(out, want) {
+					t.Fatalf("log output missing %q:\n%s", want, out)
+				}
+			}
+		})
 	}
 }

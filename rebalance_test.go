@@ -39,6 +39,15 @@ type loopedSource struct {
 	pass   int
 	span   uint64
 	served atomic.Int64
+
+	// dev, when set, makes the replay lossless: Next holds the next frame
+	// back while any receive ring is over half full, so a host on which
+	// the cores cannot keep up with the producer slows the replay down
+	// instead of overflowing a ring. While it waits it applies queued
+	// RETA swaps (FlushPending), which only the producer goroutine — the
+	// one calling Next — may do; a migration's fenced destination core
+	// would otherwise wait on a swap the blocked producer never applies.
+	dev *nic.NIC
 }
 
 func newLoopedSource(frames [][]byte, ticks []uint64, more func(pass int) bool) *loopedSource {
@@ -58,6 +67,15 @@ func (s *loopedSource) Next() ([]byte, uint64, bool) {
 			return nil, 0, false
 		}
 		s.i = 0
+	}
+	for q := 0; s.dev != nil && q < s.dev.Queues(); q++ {
+		for {
+			if used, capa := s.dev.RingOccupancy(q); used <= capa/2 {
+				break
+			}
+			s.dev.FlushPending()
+			runtime.Gosched()
+		}
 	}
 	f, tk := s.frames[s.i], s.ticks[s.i]+uint64(s.pass)*s.span
 	s.i++
@@ -230,6 +248,7 @@ func TestRebalanceForcedMigrationDifferential(t *testing.T) {
 				}
 			}()
 		}
+		src.dev = rt.NIC()
 		out.stats = rt.Run(src)
 		<-done
 		out.passes = src.pass

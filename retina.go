@@ -159,7 +159,7 @@ type Config struct {
 	// many frames per ring enqueue and each core dequeues, decodes, and
 	// filters that many packets per iteration, folding telemetry into
 	// shared counters once per burst. Zero selects the default (32);
-	// 1 selects the legacy packet-at-a-time path (useful to bisect
+	// 1 runs bursts of one through the same code (useful to bisect
 	// burst-related regressions). See DESIGN.md §11.
 	BurstSize int
 	// Interpreted selects the interpreted filter engine (Appendix B
@@ -335,8 +335,8 @@ type Source interface {
 
 // BurstSource is an optional Source extension that yields several
 // frames per call, letting the producer loop amortize its call
-// overhead to match the burst datapath. Runtime.Run uses it when the
-// source implements it and BurstSize > 1.
+// overhead to match the burst datapath. Runtime.Run uses it whenever
+// the source implements it.
 type BurstSource interface {
 	Source
 	// NextBurst fills frames and ticks (equal length) and returns the
@@ -367,15 +367,13 @@ func (s Stats) Loss() uint64 { return s.NIC.Loss() }
 
 // Runtime is a configured Retina instance.
 type Runtime struct {
-	cfg    Config
-	prog   *filter.Program
-	dev    *nic.NIC
-	pool   *mbuf.Pool
-	cores  []*core.Core
-	sub     *Subscription // initial subscription (nil for NewDynamic)
+	cfg     Config
+	dev     *nic.NIC
+	pool    *mbuf.Pool
+	cores   []*core.Core
 	plane   *ctl.Plane
-	offload *offload.Manager       // nil unless Config.FlowOffload.Enable
-	rebal   *rebalance.Rebalancer  // nil unless Config.Rebalance.Enable
+	offload *offload.Manager      // nil unless Config.FlowOffload.Enable
+	rebal   *rebalance.Rebalancer // nil unless Config.Rebalance.Enable
 	reg     *telemetry.Registry
 	tracer  *telemetry.ConnTracer
 
@@ -392,25 +390,26 @@ type Runtime struct {
 	nicAggs []*aggregate.CoreState
 }
 
-// New compiles the filter, builds the simulated device and the per-core
-// pipelines, and installs hardware rules if requested. The subscription
-// becomes the control plane's initial entry, named "main"; more can be
-// added and removed at runtime with AddSubscription / RemoveSubscription.
+// New is NewDynamic followed by AddSubscription("main", cfg.Filter,
+// sub): the subscription becomes the control plane's first entry (epoch
+// 1), and more can be added and removed at runtime with AddSubscription
+// / RemoveSubscription.
 func New(cfg Config, sub *Subscription) (*Runtime, error) {
-	if sub == nil {
-		return nil, fmt.Errorf("retina: nil subscription")
+	rt, err := NewDynamic(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return build(cfg, sub)
+	if _, err := rt.AddSubscription("main", cfg.Filter, sub); err != nil {
+		return nil, err
+	}
+	return rt, nil
 }
 
-// NewDynamic builds a runtime with an empty subscription set: every
-// packet is filter-dropped until the first AddSubscription. Config.Filter
-// is ignored (each subscription carries its own filter).
+// NewDynamic builds the simulated device and the per-core pipelines with
+// an empty subscription set: every packet is filter-dropped until the
+// first AddSubscription. Config.Filter is ignored (each subscription
+// carries its own filter).
 func NewDynamic(cfg Config) (*Runtime, error) {
-	return build(cfg, nil)
-}
-
-func build(cfg Config, sub *Subscription) (*Runtime, error) {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 1
 	}
@@ -474,25 +473,6 @@ func build(cfg Config, sub *Subscription) (*Runtime, error) {
 		// after the connection's last packet.
 		AggConnGrace: cfg.conntrack().InactivityTimeout,
 	}
-	var slots []*core.SubSpec
-	var prog *filter.Program
-	if sub != nil {
-		spec, err := ctl.NewSpec("main", cfg.Filter, sub, ctlOpts)
-		if err != nil {
-			return nil, err
-		}
-		slots = append(slots, spec)
-		prog = spec.Prog
-	} else {
-		// Dynamic mode: keep Program() meaningful (diagnostics) with a
-		// compile of the empty filter.
-		var err error
-		prog, err = filter.Compile("", filter.Options{Engine: engine, HW: hwCap, Registry: freg})
-		if err != nil {
-			return nil, err
-		}
-	}
-	ctlOpts.Slots = slots
 	plane, err := ctl.New(ctlOpts)
 	if err != nil {
 		return nil, err
@@ -508,11 +488,6 @@ func build(cfg Config, sub *Subscription) (*Runtime, error) {
 		Capability: capModel,
 		RxStamp:    cfg.LatencyTracking,
 	})
-	if cfg.HardwareFilter {
-		if err := dev.InstallRules(ps.Multi.Rules); err != nil {
-			return nil, fmt.Errorf("retina: installing hardware rules: %w", err)
-		}
-	}
 	if cfg.SinkFraction > 0 {
 		dev.SetSinkFraction(cfg.SinkFraction)
 	}
@@ -534,7 +509,7 @@ func build(cfg Config, sub *Subscription) (*Runtime, error) {
 		plane.SetOffload(mgr)
 	}
 
-	rt := &Runtime{cfg: cfg, prog: prog, dev: dev, pool: pool, sub: sub, plane: plane, offload: mgr}
+	rt := &Runtime{cfg: cfg, dev: dev, pool: pool, plane: plane, offload: mgr}
 	if cfg.TraceSample > 0 {
 		rt.tracer = telemetry.NewConnTracer(cfg.TraceSample, cfg.TraceMax)
 	}
@@ -554,7 +529,6 @@ func build(cfg Config, sub *Subscription) (*Runtime, error) {
 			MaxOutOfOrder:   cfg.MaxOutOfOrder,
 			Profile:         cfg.Profile,
 			PacketBufferCap: cfg.PacketBufferCap,
-			ExtraParsers:    extraParsers,
 			Tracer:          rt.tracer,
 			Budget:          cfg.budget(),
 			PoolSignal: func() (free, total int) {
@@ -590,11 +564,6 @@ func build(cfg Config, sub *Subscription) (*Runtime, error) {
 	}
 	rt.reg = telemetry.NewRegistry()
 	rt.registerMetrics()
-	for _, info := range plane.List() {
-		if spec := plane.Spec(info.Name); spec != nil {
-			rt.registerSubscriptionMetrics(spec)
-		}
-	}
 	return rt, nil
 }
 
@@ -715,9 +684,6 @@ func (r *Runtime) ListSubscriptions() []SubscriptionInfo {
 	return r.plane.List()
 }
 
-// Program exposes the compiled filter (rule inspection, diagnostics).
-func (r *Runtime) Program() *filter.Program { return r.prog }
-
 // NIC exposes the simulated device (benchmark harness access).
 func (r *Runtime) NIC() *nic.NIC { return r.dev }
 
@@ -770,6 +736,10 @@ func (r *Runtime) elephantBucket(bucket int) bool {
 // concurrent use.
 func (r *Runtime) Run(src Source) Stats {
 	start := time.Now()
+	// A runtime may replay several sources in turn; the previous Run
+	// closed the device, and cores started on closed, still-empty rings
+	// would exit before the first frame arrived.
+	r.dev.Reopen()
 	r.plane.Start()
 	defer r.plane.Stop()
 	var wg sync.WaitGroup
@@ -785,7 +755,7 @@ func (r *Runtime) Run(src Source) Stats {
 	}
 
 	var lastTick uint64
-	if bs, ok := src.(BurstSource); ok && r.cfg.BurstSize > 1 {
+	if bs, ok := src.(BurstSource); ok {
 		frames := make([][]byte, r.cfg.BurstSize)
 		ticks := make([]uint64, r.cfg.BurstSize)
 		for {
@@ -881,13 +851,6 @@ func (r *Runtime) RunOffline(src Source) Stats {
 		m.RxTick = tick
 		m.RxNanos = nowNs
 		lastTick = tick
-		if burst <= 1 {
-			c.ProcessMbuf(m)
-			if stamp {
-				nowNs = metrics.NowNanos()
-			}
-			continue
-		}
 		batch = append(batch, m)
 		if len(batch) >= burst {
 			c.ProcessBurst(batch)

@@ -139,8 +139,8 @@ func TestEndToEndPacketsWithHardwareFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rt.Program().Rules) == 0 {
-		t.Fatal("no hardware rules generated")
+	if len(rt.NIC().InstalledRuleStrings()) == 0 {
+		t.Fatal("no hardware rules installed")
 	}
 	src := traffic.NewCampusMix(traffic.CampusConfig{Seed: 9, Flows: 300, Gbps: 20})
 	stats := rt.Run(src)

@@ -170,15 +170,6 @@ func (r *Runtime) registerMetrics() {
 		}
 	}
 
-	// Legacy per-level delivery series (kept for dashboards written
-	// against the single-subscription runtime; NewDynamic has no initial
-	// subscription, so nothing to label).
-	if r.sub != nil {
-		reg.CounterFunc("retina_subscription_delivered_total", "callback deliveries per subscription",
-			r.sumCores(func(s core.CoreStats) uint64 { return s.Delivered }),
-			telemetry.L("subscription", r.sub.Level.String()))
-	}
-
 	// Control plane: swap epochs, the size of the live set, and hardware
 	// reconcile failures (the device has fallen back to pass-everything
 	// at least once when this is non-zero).
@@ -217,33 +208,6 @@ func (r *Runtime) registerMetrics() {
 			func() uint64 { return r.offload.Stats().RejectedCapacity })
 		reg.CounterFunc("retina_offload_stale_total", "offload requests dropped for a retired epoch",
 			func() uint64 { return r.offload.Stats().StaleDropped })
-	}
-
-	// Per-protocol probe/parse failures, summed across cores at scrape.
-	protoNames := map[string]bool{}
-	for _, c := range r.cores {
-		for name := range c.ProtoStats() {
-			protoNames[name] = true
-		}
-	}
-	for name := range protoNames {
-		name := name
-		reg.CounterFunc("retina_proto_failures_total", "protocol probe/parse failures",
-			func() uint64 {
-				var n uint64
-				for _, c := range r.cores {
-					n += c.ProtoStats()[name].ProbeRejects
-				}
-				return n
-			}, telemetry.L("proto", name), telemetry.L("kind", "probe_reject"))
-		reg.CounterFunc("retina_proto_failures_total", "protocol probe/parse failures",
-			func() uint64 {
-				var n uint64
-				for _, c := range r.cores {
-					n += c.ProtoStats()[name].ParseErrors
-				}
-				return n
-			}, telemetry.L("proto", name), telemetry.L("kind", "parse_error"))
 	}
 
 	// Stage counters (Figure 7), summed across cores at scrape time.
@@ -386,8 +350,7 @@ func (r *Runtime) registerObservabilityMetrics() {
 }
 
 // registerSubscriptionMetrics registers one subscription's counter
-// series. Called once per SubSpec — at construction for initial
-// subscriptions and at AddSubscription for dynamic ones; the id label
+// series. Called once per SubSpec, at AddSubscription; the id label
 // keeps series distinct when a name is reused after a remove. The
 // registry's own locking makes this safe while /metrics is being
 // scraped.
@@ -402,6 +365,35 @@ func (r *Runtime) registerSubscriptionMetrics(spec *core.SubSpec) {
 		spec.MatchedConns.Value, lbls...)
 	r.reg.GaugeFunc("retina_sub_live_conns", "connections currently holding a match per subscription",
 		func() float64 { return float64(spec.LiveConns.Load()) }, lbls...)
+	// The protocols this subscription makes the cores probe and parse
+	// (registering a series another subscription already added is a
+	// no-op).
+	for _, names := range [][]string{spec.Prog.ConnProtocols(), spec.Sub.SessionProtos} {
+		for _, name := range names {
+			r.registerProtoMetrics(name)
+		}
+	}
+}
+
+// registerProtoMetrics registers one protocol's probe/parse failure
+// series, summed across cores at scrape time.
+func (r *Runtime) registerProtoMetrics(name string) {
+	r.reg.CounterFunc("retina_proto_failures_total", "protocol probe/parse failures",
+		func() uint64 {
+			var n uint64
+			for _, c := range r.cores {
+				n += c.ProtoStats()[name].ProbeRejects
+			}
+			return n
+		}, telemetry.L("proto", name), telemetry.L("kind", "probe_reject"))
+	r.reg.CounterFunc("retina_proto_failures_total", "protocol probe/parse failures",
+		func() uint64 {
+			var n uint64
+			for _, c := range r.cores {
+				n += c.ProtoStats()[name].ParseErrors
+			}
+			return n
+		}, telemetry.L("proto", name), telemetry.L("kind", "parse_error"))
 }
 
 // registerAggregateMetrics registers one aggregation query's series.

@@ -139,7 +139,7 @@ func TestServeMetricsExposition(t *testing.T) {
 		`retina_core_processed_total{core="0"}`,
 		`retina_core_processed_total{core="1"}`,
 		`retina_delivered_total{core="0",kind="sessions"}`,
-		`retina_subscription_delivered_total{subscription="session"}`,
+		`retina_sub_delivered_total{subscription="main",id="0"}`,
 		`retina_stage_invocations_total{stage="SW Packet Filter"}`,
 		`retina_stage_nanos_total{stage="App-layer Parsing"}`,
 		`retina_conns_expired_total{core="0",reason="termination"}`,
